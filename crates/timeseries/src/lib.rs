@@ -53,7 +53,8 @@ pub use drift::DriftDetector;
 pub use error::ForecastError;
 pub use methods::{
     ArForecaster, DriftForecaster, Forecast, Forecaster, HoltForecaster, HoltWintersForecaster,
-    MeanForecaster, NaiveForecaster, SeasonalNaiveForecaster, SesForecaster, ThetaForecaster,
+    MeanForecaster, NaiveForecaster, Prediction, SeasonalNaiveForecaster, SesForecaster,
+    ThetaForecaster,
 };
 pub use season::detect_season_length;
 pub use series::TimeSeries;

@@ -4,7 +4,7 @@
 //! autoregression; this is that component. The design matrix is tiny
 //! (p ≤ ~10 columns), so a dense normal-equations solve is appropriate.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::{checked, Forecaster, Prediction};
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::{mean, solve_linear_system};
@@ -53,16 +53,13 @@ impl ArForecaster {
         let mut xtx = vec![vec![0.0; dim]; dim];
         let mut xty = vec![0.0; dim];
         for t in p..values.len() {
-            let mut x = Vec::with_capacity(dim);
-            x.push(1.0);
-            for i in 1..=p {
-                x.push(values[t - i]);
-            }
+            // Row `t` of X: 1 for the intercept, then the lagged values.
+            let x = |a: usize| if a == 0 { 1.0 } else { values[t - a] };
             let y = values[t];
-            for a in 0..dim {
-                xty[a] += x[a] * y;
-                for b in 0..dim {
-                    xtx[a][b] += x[a] * x[b];
+            for (a, row) in xtx.iter_mut().enumerate() {
+                xty[a] += x(a) * y;
+                for (b, cell) in row.iter_mut().enumerate() {
+                    *cell += x(a) * x(b);
                 }
             }
         }
@@ -75,34 +72,24 @@ impl Forecaster for ArForecaster {
         "ar"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        if horizon == 0 {
-            return Err(ForecastError::EmptyHorizon);
-        }
-        let values = history.values();
-        let need = 2 * self.order + 1;
-        if values.len() < need {
-            return Err(ForecastError::TooShort {
-                have: values.len(),
-                need,
-            });
-        }
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 2 * self.order + 1)?;
         let out = match self.fit(values) {
             Some(beta) => {
                 let p = self.order;
                 let mut window: Vec<f64> = values[values.len() - p..].to_vec();
                 let mut out = Vec::with_capacity(horizon);
+                // Keep iterated forecasts from exploding on marginally
+                // unstable fits: clamp to a generous band around the
+                // observed range.
+                let hi = values.iter().cloned().fold(f64::MIN, f64::max);
+                let lo = values.iter().cloned().fold(f64::MAX, f64::min);
+                let span = (hi - lo).max(1.0);
                 for _ in 0..horizon {
                     let mut pred = beta[0];
                     for i in 1..=p {
                         pred += beta[i] * window[window.len() - i];
                     }
-                    // Keep iterated forecasts from exploding on marginally
-                    // unstable fits: clamp to a generous band around the
-                    // observed range.
-                    let hi = values.iter().cloned().fold(f64::MIN, f64::max);
-                    let lo = values.iter().cloned().fold(f64::MAX, f64::min);
-                    let span = (hi - lo).max(1.0);
                     pred = pred.clamp(lo - 2.0 * span, hi + 2.0 * span);
                     out.push(pred);
                     window.push(pred);
@@ -112,8 +99,7 @@ impl Forecaster for ArForecaster {
             // Singular fit (constant series): predict the mean.
             None => vec![mean(values); horizon],
         };
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(Prediction::new(out, 1))
     }
 }
 

@@ -1,10 +1,13 @@
 //! Forecasting methods.
 //!
-//! All methods implement the [`Forecaster`] trait: given a history series
-//! and a horizon, they return a [`Forecast`] with one value per future
-//! step. Each method also reports an in-sample one-step MASE computed by a
-//! holdout backtest, which Chamulteon's conflict resolution uses as the
-//! *trust* measure for proactive decisions.
+//! All methods implement the [`Forecaster`] trait. A method supplies one
+//! values-only fit, [`Forecaster::predict`]: given a history series and a
+//! horizon, a [`Prediction`] with one value per future step. The provided
+//! [`Forecaster::forecast`] wraps that fit into a [`Forecast`] carrying the
+//! in-sample MASE of a [`holdout_mase`] backtest, which Chamulteon's
+//! conflict resolution uses as the *trust* measure for proactive
+//! decisions. A forecast therefore costs exactly two fits: one on the
+//! full history and one on the holdout prefix.
 
 mod ar;
 mod naive;
@@ -28,17 +31,65 @@ pub struct Forecast {
     in_sample_mase: Option<f64>,
 }
 
+/// Clamps predictions to valid arrival rates: negative values become zero
+/// and non-finite values zero.
+fn clamp_rates(values: Vec<f64>) -> Vec<f64> {
+    values
+        .into_iter()
+        .map(|v| if v.is_finite() { v.max(0.0) } else { 0.0 })
+        .collect()
+}
+
+/// Checks a forecast request — a non-zero horizon and at least `need`
+/// observations — and returns the history's values.
+pub(crate) fn checked(
+    history: &TimeSeries,
+    horizon: usize,
+    need: usize,
+) -> Result<&[f64], ForecastError> {
+    if horizon == 0 {
+        return Err(ForecastError::EmptyHorizon);
+    }
+    if history.len() < need {
+        return Err(ForecastError::TooShort {
+            have: history.len(),
+            need,
+        });
+    }
+    Ok(history.values())
+}
+
+/// The values of one model fit, before any backtest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prediction {
+    values: Vec<f64>,
+    season: usize,
+}
+
+impl Prediction {
+    /// Creates a prediction, clamping the values like [`Forecast::new`].
+    /// `season` is the season length the holdout MASE of this fit is
+    /// scaled at (1 for non-seasonal methods).
+    pub fn new(values: Vec<f64>, season: usize) -> Self {
+        Prediction {
+            values: clamp_rates(values),
+            season,
+        }
+    }
+
+    /// The predicted values, one per future step.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+}
+
 impl Forecast {
     /// Creates a forecast result. Negative predictions are clamped to zero
     /// — arrival rates cannot be negative.
     pub fn new(method: impl Into<String>, values: Vec<f64>, in_sample_mase: Option<f64>) -> Self {
-        let values = values
-            .into_iter()
-            .map(|v| if v.is_finite() { v.max(0.0) } else { 0.0 })
-            .collect();
         Forecast {
             method: method.into(),
-            values,
+            values: clamp_rates(values),
             in_sample_mase,
         }
     }
@@ -73,19 +124,34 @@ pub trait Forecaster {
     /// A short human-readable name, e.g. `"holt-winters"`.
     fn name(&self) -> &str;
 
-    /// Produces `horizon` predictions following the end of `history`.
+    /// Fits the method once and produces `horizon` predictions following
+    /// the end of `history`, without a backtest.
     ///
     /// # Errors
     ///
     /// Implementations return [`ForecastError::TooShort`] when the history
     /// cannot support the method and [`ForecastError::EmptyHorizon`] for a
     /// zero horizon.
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError>;
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError>;
+
+    /// Produces `horizon` predictions following the end of `history`, with
+    /// the in-sample MASE of a [`holdout_mase`] backtest.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Forecaster::predict`] on the full history.
+    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+        let Prediction { values, season } = self.predict(history, horizon)?;
+        let mase = holdout_mase(self, history, season);
+        Ok(Forecast::new(self.name(), values, mase))
+    }
 }
 
 /// Backtests a forecaster on the tail of `history`: the last
-/// `max(1, len/5)` observations are held out, the method is fit on the rest
-/// and its holdout MASE (scaled at `season`) is returned.
+/// `max(1, len/5)` observations are held out, the method is fit once on the
+/// rest with [`Forecaster::predict`] and its holdout MASE (scaled at
+/// `season`) is returned. The fit on the prefix is values-only, so a
+/// backtest never recurses into further backtests.
 ///
 /// Returns `None` when the history is too short to split or the method
 /// fails on the shortened series.
@@ -100,8 +166,8 @@ pub fn holdout_mase<F: Forecaster + ?Sized>(
     }
     let holdout = (n / 5).max(1).min(n / 2);
     let (train, test) = history.split_at(n - holdout);
-    let fc = forecaster.forecast(&train, holdout).ok()?;
-    let m = mase(train.values(), test.values(), fc.values(), season.max(1));
+    let fit = forecaster.predict(&train, holdout).ok()?;
+    let m = mase(train.values(), test.values(), fit.values(), season.max(1));
     if m.is_nan() {
         None
     } else {
@@ -131,14 +197,14 @@ mod tests {
             fn name(&self) -> &str {
                 "oracle"
             }
-            fn forecast(
+            fn predict(
                 &self,
                 history: &TimeSeries,
                 horizon: usize,
-            ) -> Result<Forecast, ForecastError> {
+            ) -> Result<Prediction, ForecastError> {
                 let last = history.last().unwrap_or(0.0);
                 let values = (1..=horizon).map(|h| last + h as f64).collect();
-                Ok(Forecast::new("oracle", values, None))
+                Ok(Prediction::new(values, 1))
             }
         }
         let line: Vec<f64> = (0..40).map(f64::from).collect();

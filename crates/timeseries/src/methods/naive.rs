@@ -1,28 +1,9 @@
 //! The simple reference forecasters: naive, seasonal naive, drift, mean.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::{checked, Forecaster, Prediction};
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::mean;
-
-fn require_nonempty_horizon(horizon: usize) -> Result<(), ForecastError> {
-    if horizon == 0 {
-        Err(ForecastError::EmptyHorizon)
-    } else {
-        Ok(())
-    }
-}
-
-fn require_len(history: &TimeSeries, need: usize) -> Result<(), ForecastError> {
-    if history.len() < need {
-        Err(ForecastError::TooShort {
-            have: history.len(),
-            need,
-        })
-    } else {
-        Ok(())
-    }
-}
 
 /// Repeats the last observation: `ŷ_{t+h} = y_t`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,14 +14,9 @@ impl Forecaster for NaiveForecaster {
         "naive"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        require_nonempty_horizon(horizon)?;
-        require_len(history, 1)?;
-        let Some(last) = history.last() else {
-            return Err(ForecastError::TooShort { have: 0, need: 1 });
-        };
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![last; horizon], m))
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 1)?;
+        Ok(Prediction::new(vec![values[values.len() - 1]; horizon], 1))
     }
 }
 
@@ -65,16 +41,13 @@ impl Forecaster for SeasonalNaiveForecaster {
         "seasonal-naive"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        require_nonempty_horizon(horizon)?;
-        require_len(history, self.period)?;
-        let values = history.values();
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, self.period)?;
         let n = values.len();
         let out: Vec<f64> = (0..horizon)
             .map(|h| values[n - self.period + (h % self.period)])
             .collect();
-        let m = holdout_mase(self, history, self.period);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(Prediction::new(out, self.period))
     }
 }
 
@@ -88,16 +61,13 @@ impl Forecaster for DriftForecaster {
         "drift"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        require_nonempty_horizon(horizon)?;
-        require_len(history, 2)?;
-        let values = history.values();
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 2)?;
         let n = values.len();
         let slope = (values[n - 1] - values[0]) / (n - 1) as f64;
         let last = values[n - 1];
         let out = (1..=horizon).map(|h| last + slope * h as f64).collect();
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(Prediction::new(out, 1))
     }
 }
 
@@ -127,14 +97,11 @@ impl Forecaster for MeanForecaster {
         "mean"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        require_nonempty_horizon(horizon)?;
-        require_len(history, 1)?;
-        let values = history.values();
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 1)?;
         let window = self.window.unwrap_or(values.len()).min(values.len());
         let level = mean(&values[values.len() - window..]);
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![level; horizon], m))
+        Ok(Prediction::new(vec![level; horizon], 1))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Exponential-smoothing forecasters: simple (SES), Holt linear trend with
 //! optional damping, and additive Holt-Winters.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::{checked, Forecaster, Prediction};
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::mean;
@@ -44,20 +44,13 @@ impl Forecaster for SesForecaster {
         "ses"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        if horizon == 0 {
-            return Err(ForecastError::EmptyHorizon);
-        }
-        let values = history.values();
-        if values.is_empty() {
-            return Err(ForecastError::TooShort { have: 0, need: 1 });
-        }
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 1)?;
         let mut level = values[0];
         for &y in &values[1..] {
             level = self.alpha * y + (1.0 - self.alpha) * level;
         }
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![level; horizon], m))
+        Ok(Prediction::new(vec![level; horizon], 1))
     }
 }
 
@@ -105,17 +98,8 @@ impl Forecaster for HoltForecaster {
         "holt"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        if horizon == 0 {
-            return Err(ForecastError::EmptyHorizon);
-        }
-        let values = history.values();
-        if values.len() < 2 {
-            return Err(ForecastError::TooShort {
-                have: values.len(),
-                need: 2,
-            });
-        }
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 2)?;
         let mut level = values[0];
         let mut trend = values[1] - values[0];
         for &y in &values[1..] {
@@ -131,8 +115,7 @@ impl Forecaster for HoltForecaster {
             damp_sum += damp_pow;
             out.push(level + damp_sum * trend);
         }
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(Prediction::new(out, 1))
     }
 }
 
@@ -185,18 +168,9 @@ impl Forecaster for HoltWintersForecaster {
         "holt-winters"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        if horizon == 0 {
-            return Err(ForecastError::EmptyHorizon);
-        }
-        let values = history.values();
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
         let m = self.period;
-        if values.len() < 2 * m {
-            return Err(ForecastError::TooShort {
-                have: values.len(),
-                need: 2 * m,
-            });
-        }
+        let values = checked(history, horizon, 2 * m)?;
         // Initialization from the first two seasons.
         let first_season_mean = mean(&values[..m]);
         let second_season_mean = mean(&values[m..2 * m]);
@@ -216,8 +190,7 @@ impl Forecaster for HoltWintersForecaster {
         let out: Vec<f64> = (1..=horizon)
             .map(|h| level + trend * h as f64 + seasonal[(n + h - 1) % m])
             .collect();
-        let ms = holdout_mase(self, history, m);
-        Ok(Forecast::new(self.name(), out, ms))
+        Ok(Prediction::new(out, m))
     }
 }
 

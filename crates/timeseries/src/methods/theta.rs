@@ -7,7 +7,7 @@
 //! non-seasonal method in most comparisons, which makes it a valuable
 //! reference point for the forecast ablation.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::{checked, Forecaster, Prediction};
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::linear_fit;
@@ -47,17 +47,8 @@ impl Forecaster for ThetaForecaster {
         "theta"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
-        if horizon == 0 {
-            return Err(ForecastError::EmptyHorizon);
-        }
-        let values = history.values();
-        if values.len() < 3 {
-            return Err(ForecastError::TooShort {
-                have: values.len(),
-                need: 3,
-            });
-        }
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Result<Prediction, ForecastError> {
+        let values = checked(history, horizon, 3)?;
         // Long-run drift: half the linear-regression slope.
         let (_, slope) = linear_fit(values);
         let drift = slope / 2.0;
@@ -67,8 +58,7 @@ impl Forecaster for ThetaForecaster {
             level = self.alpha * y + (1.0 - self.alpha) * level;
         }
         let out = (1..=horizon).map(|h| level + drift * h as f64).collect();
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(Prediction::new(out, 1))
     }
 }
 

@@ -7,7 +7,7 @@
 //! mistaken for seasonality.
 
 use crate::series::TimeSeries;
-use crate::stats::{autocorrelation, linear_fit, periodogram};
+use crate::stats::{linear_fit, periodogram, Acf};
 
 /// Minimum autocorrelation at the candidate period for it to count as a
 /// real seasonal pattern.
@@ -66,6 +66,7 @@ pub fn detect_season_length(series: &TimeSeries) -> Option<usize> {
         .map(|(i, p)| (i + 1, p))
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let acf = Acf::new(values);
 
     for &(freq, power) in ranked.iter().take(5) {
         if freq < 2 {
@@ -84,10 +85,11 @@ pub fn detect_season_length(series: &TimeSeries) -> Option<usize> {
         // the ACF in a ±20% window around the candidate for its maximum.
         let lo = (candidate * 4 / 5).max(2); // floor(0.8 · candidate)
         let hi = (candidate * 6).div_ceil(5).min(n / 2); // ceil(1.2 · candidate)
-        let refined = (lo..=hi)
-            .max_by(|&a, &b| autocorrelation(values, a).total_cmp(&autocorrelation(values, b)))
-            .unwrap_or(candidate);
-        if autocorrelation(values, refined) >= ACF_CONFIRMATION_THRESHOLD {
+        let (refined, r) = (lo..=hi)
+            .map(|lag| (lag, acf.at(lag)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or_else(|| (candidate, acf.at(candidate)));
+        if r >= ACF_CONFIRMATION_THRESHOLD {
             return Some(refined);
         }
     }
@@ -98,6 +100,7 @@ pub fn detect_season_length(series: &TimeSeries) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::series::TimeSeries;
+    use crate::stats::autocorrelation;
 
     fn ts(values: Vec<f64>) -> TimeSeries {
         TimeSeries::from_values(1.0, values).unwrap()

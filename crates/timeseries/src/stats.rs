@@ -28,22 +28,38 @@ pub fn std_dev(values: &[f64]) -> f64 {
 /// Returns 0.0 for a constant series, an empty series, or a lag outside
 /// `1..len`.
 pub fn autocorrelation(values: &[f64], lag: usize) -> f64 {
-    let n = values.len();
-    if lag == 0 {
-        return 1.0;
+    Acf::new(values).at(lag)
+}
+
+/// The autocorrelation function of one series: the centred series and the
+/// denominator of [`autocorrelation`] are computed once and shared by every
+/// lag, with the same arithmetic and summation order.
+pub(crate) struct Acf {
+    centred: Vec<f64>,
+    denom: f64,
+}
+
+impl Acf {
+    pub(crate) fn new(values: &[f64]) -> Self {
+        let m = mean(values);
+        let centred: Vec<f64> = values.iter().map(|v| v - m).collect();
+        let denom = centred.iter().map(|c| c * c).sum();
+        Acf { centred, denom }
     }
-    if lag >= n {
-        return 0.0;
+
+    /// [`autocorrelation`] at `lag`.
+    pub(crate) fn at(&self, lag: usize) -> f64 {
+        let c = &self.centred;
+        let n = c.len();
+        if lag == 0 {
+            return 1.0;
+        }
+        if lag >= n || self.denom <= f64::EPSILON {
+            return 0.0;
+        }
+        let num: f64 = (0..n - lag).map(|t| c[t] * c[t + lag]).sum();
+        num / self.denom
     }
-    let m = mean(values);
-    let denom: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
-    if denom <= f64::EPSILON {
-        return 0.0;
-    }
-    let num: f64 = (0..n - lag)
-        .map(|t| (values[t] - m) * (values[t + lag] - m))
-        .sum();
-    num / denom
 }
 
 /// Ordinary least-squares fit of `y = intercept + slope·x` over the index
@@ -70,10 +86,12 @@ pub fn linear_fit(values: &[f64]) -> (f64, f64) {
 }
 
 /// Raw periodogram power at integer frequencies `1..=max_freq` (cycles per
-/// series length), computed by direct DFT projection.
+/// series length), computed by DFT projection.
 ///
 /// Index `k` of the returned vector holds the power of frequency `k + 1`.
-/// The mean is removed first so frequency 0 carries no power.
+/// The mean is removed first so frequency 0 carries no power. The phase of
+/// frequency `f` at sample `t` is `2π·((f·t) mod n)/n`, so one table of `n`
+/// cosines and sines serves every frequency.
 pub fn periodogram(values: &[f64], max_freq: usize) -> Vec<f64> {
     let n = values.len();
     if n < 4 || max_freq == 0 {
@@ -81,19 +99,25 @@ pub fn periodogram(values: &[f64], max_freq: usize) -> Vec<f64> {
     }
     let m = mean(values);
     let centered: Vec<f64> = values.iter().map(|v| v - m).collect();
-    let mut powers = Vec::with_capacity(max_freq);
-    for freq in 1..=max_freq {
-        let omega = std::f64::consts::TAU * freq as f64 / n as f64;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (t, &y) in centered.iter().enumerate() {
-            let phase = omega * t as f64;
-            re += y * phase.cos();
-            im += y * phase.sin();
-        }
-        powers.push((re * re + im * im) / n as f64);
-    }
-    powers
+    let table: Vec<(f64, f64)> = (0..n)
+        .map(|k| (std::f64::consts::TAU * k as f64 / n as f64).sin_cos())
+        .collect();
+    (1..=max_freq)
+        .map(|freq| {
+            let stride = freq % n;
+            let (mut re, mut im, mut k) = (0.0, 0.0, 0);
+            for &y in &centered {
+                let (sin, cos) = table[k];
+                re += y * cos;
+                im += y * sin;
+                k += stride;
+                if k >= n {
+                    k -= n;
+                }
+            }
+            (re * re + im * im) / n as f64
+        })
+        .collect()
 }
 
 /// Solves the linear system `A·x = b` in place with Gaussian elimination and
